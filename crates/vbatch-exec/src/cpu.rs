@@ -1,6 +1,6 @@
-//! Host backends: sequential reference and the scoped-thread parallel
-//! driver (`CpuRayon`, named for the rayon-style parallel surface it
-//! uses from `vbatch-rt`). Both wrap the native kernels of
+//! Host backends: sequential reference and the parallel driver
+//! (`CpuRayon`, named for the rayon-style surface of the persistent
+//! worker pool in `vbatch-rt`). Both wrap the native kernels of
 //! `vbatch-core`; they differ only in how blocks are distributed.
 
 use crate::apply::{run_apply_unit, FlatVecPtr, PreparedApply};
@@ -19,14 +19,14 @@ use vbatch_core::{
     potrf, DenseMat, Exec, FactorError, GhLayout, InterleavedClass, MatrixBatch, Scalar,
     StoragePrecision, VectorBatch,
 };
-use vbatch_rt::par::{num_threads, par_map_vec};
+use vbatch_rt::par::{for_each_index, num_threads, par_map_vec};
 use vbatch_rt::prelude::*;
 use vbatch_sparse::{extract_diag_blocks, BlockPartition, CsrMatrix};
 
 /// One block after another; deterministic reference execution.
 pub struct CpuSequential;
 
-/// Blocks distributed over the scoped-thread pool of `vbatch-rt`.
+/// Blocks distributed over the persistent worker pool of `vbatch-rt`.
 pub struct CpuRayon;
 
 /// Factorize one block with the planned kernel, degrading to scalar
@@ -544,10 +544,10 @@ pub(crate) fn solve_cpu<T: Scalar>(
 }
 
 /// Steady-state apply through a [`PreparedApply`]: run every unit
-/// against the flat vector, sequentially or over the thread pool. The
-/// sequential path performs zero heap allocations (every temporary
-/// lives in the prepared per-unit scratch); the parallel path allocates
-/// only inside the thread-pool harness, never per block.
+/// against the flat vector, sequentially or over the worker pool. Both
+/// paths perform zero heap allocations once warm: every temporary lives
+/// in the prepared per-unit scratch, and a pool call keeps its job on
+/// the stack.
 pub(crate) fn solve_prepared_cpu<T: Scalar>(
     factors: &FactorizedBatch<T>,
     prepared: &PreparedApply<T>,
@@ -566,7 +566,7 @@ pub(crate) fn solve_prepared_cpu<T: Scalar>(
     let units = prepared.units();
     if parallel && units.len() > 1 {
         let ptr = FlatVecPtr::new(v);
-        (0..units.len()).into_par_iter().for_each(|i| {
+        for_each_index(units.len(), &|i| {
             // SAFETY: each unit touches a disjoint set of segments
             // (PreparedApply invariant), so the reborrowed views from
             // concurrent units never alias.

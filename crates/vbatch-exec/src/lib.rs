@@ -12,8 +12,8 @@
 //!   two-rows-per-lane blocked LU above 32.
 //! * [`Backend`] — the *executor*. Three implementations share one
 //!   interface over [`vbatch_core::MatrixBatch`]es:
-//!   [`CpuSequential`], [`CpuRayon`] (the scoped-thread parallel
-//!   driver from `vbatch-rt`), and [`SimtSim`] (the warp-lockstep
+//!   [`CpuSequential`], [`CpuRayon`] (blocks spread over the
+//!   persistent worker pool of `vbatch-rt`), and [`SimtSim`] (the warp-lockstep
 //!   functional simulator of `vbatch-simt`).
 //!
 //! Factorization never aborts on the first singular block: each block

@@ -24,7 +24,7 @@
 use crate::apply::FlatVecPtr;
 use std::ops::Range;
 use vbatch_core::{gemv_neg_acc, Scalar};
-use vbatch_rt::prelude::*;
+use vbatch_rt::par::for_each_index;
 use vbatch_sparse::{BlockPartition, BlockPattern, CsrMatrix, LevelSchedule, TriKind};
 
 /// One strict block triangle of a sparse matrix under a block
@@ -245,7 +245,7 @@ impl<T: Scalar> BlockTriangular<T> {
                 continue;
             }
             let ptr = FlatVecPtr::new(v);
-            (0..rows.len()).into_par_iter().for_each(|t| {
+            for_each_index(rows.len(), &|t| {
                 // SAFETY: rows of one level are mutually independent
                 // (LevelSchedule invariant): each writes only its own
                 // segment and reads segments finalized in earlier

@@ -20,9 +20,22 @@
 //! The counters are relaxed atomics over [`std::alloc::System`]; the
 //! overhead is a handful of nanoseconds per allocation, fine for a
 //! test binary and deliberately not installed anywhere else.
+//!
+//! Besides the process-wide totals, a snapshot carries a *scoped*
+//! count: allocations made by the snapshotting thread plus those made
+//! on [`crate::par`] pool workers. That is every thread a call's work
+//! runs on, and no other: a test harness spawning or reporting other
+//! tests on its own threads cannot leak into a scoped window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    // const-initialized and drop-free: reading them never allocates
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Wraps the system allocator and counts every allocation.
 #[derive(Debug)]
@@ -30,6 +43,8 @@ pub struct CountingAlloc {
     allocs: AtomicU64,
     deallocs: AtomicU64,
     bytes: AtomicU64,
+    pool_allocs: AtomicU64,
+    pool_bytes: AtomicU64,
 }
 
 /// A point-in-time reading of the allocation counters.
@@ -41,6 +56,10 @@ pub struct AllocSnapshot {
     pub deallocs: u64,
     /// Total bytes ever requested.
     pub bytes: u64,
+    /// Allocations by the snapshotting thread plus all pool workers.
+    pub scoped_allocs: u64,
+    /// Bytes requested by the snapshotting thread plus all pool workers.
+    pub scoped_bytes: u64,
 }
 
 impl AllocSnapshot {
@@ -53,6 +72,18 @@ impl AllocSnapshot {
     pub fn bytes_since(&self, start: &AllocSnapshot) -> u64 {
         self.bytes - start.bytes
     }
+
+    /// Allocations made since `start` by this thread or a pool worker;
+    /// both snapshots must come from the same thread.
+    pub fn scoped_allocs_since(&self, start: &AllocSnapshot) -> u64 {
+        self.scoped_allocs - start.scoped_allocs
+    }
+
+    /// Bytes requested since `start` by this thread or a pool worker;
+    /// both snapshots must come from the same thread.
+    pub fn scoped_bytes_since(&self, start: &AllocSnapshot) -> u64 {
+        self.scoped_bytes - start.scoped_bytes
+    }
 }
 
 impl CountingAlloc {
@@ -62,6 +93,8 @@ impl CountingAlloc {
             allocs: AtomicU64::new(0),
             deallocs: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
+            pool_allocs: AtomicU64::new(0),
+            pool_bytes: AtomicU64::new(0),
         }
     }
 
@@ -71,12 +104,21 @@ impl CountingAlloc {
             allocs: self.allocs.load(Ordering::Relaxed),
             deallocs: self.deallocs.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
+            scoped_allocs: THREAD_ALLOCS.with(Cell::get) + self.pool_allocs.load(Ordering::Relaxed),
+            scoped_bytes: THREAD_BYTES.with(Cell::get) + self.pool_bytes.load(Ordering::Relaxed),
         }
     }
 
     fn count_alloc(&self, size: usize) {
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(size as u64, Ordering::Relaxed);
+        if crate::par::on_worker_thread() {
+            self.pool_allocs.fetch_add(1, Ordering::Relaxed);
+            self.pool_bytes.fetch_add(size as u64, Ordering::Relaxed);
+        } else {
+            let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+            let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + size as u64));
+        }
     }
 }
 
@@ -131,6 +173,8 @@ mod tests {
         let after = a.snapshot();
         assert_eq!(after.allocs_since(&before), 1);
         assert_eq!(after.bytes_since(&before), 64);
+        assert_eq!(after.scoped_allocs_since(&before), 1);
+        assert_eq!(after.scoped_bytes_since(&before), 64);
         assert_eq!(after.deallocs - before.deallocs, 1);
     }
 
@@ -141,5 +185,18 @@ mod tests {
         let s2 = a.snapshot();
         assert_eq!(s2.allocs_since(&s1), 0);
         assert_eq!(s2.bytes_since(&s1), 0);
+    }
+
+    #[test]
+    fn scoped_count_skips_other_threads() {
+        let a = CountingAlloc::new();
+        let layout = Layout::from_size_align(32, 8).unwrap();
+        let before = a.snapshot();
+        std::thread::scope(|s| {
+            s.spawn(|| unsafe { a.dealloc(a.alloc(layout), layout) });
+        });
+        let after = a.snapshot();
+        assert_eq!(after.allocs_since(&before), 1);
+        assert_eq!(after.scoped_allocs_since(&before), 0);
     }
 }

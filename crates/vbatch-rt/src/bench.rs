@@ -1,22 +1,17 @@
-//! A minimal wall-clock micro-benchmark harness (`std`-only), used by
+//! A minimal wall-clock micro-benchmark harness, used by
 //! the `harness = false` bench targets. Each measurement warms up once,
 //! then doubles the iteration count until the timed window exceeds a
 //! floor, reporting ns/iter — enough to compare kernel variants without
 //! an external benchmarking dependency.
 //!
-//! The harness reads time through [`MonoTimer`], a monotonic-clamped
-//! wrapper over a raw nanosecond clock. `Instant` is documented as
-//! monotonic, but under VM clock steps (live migration, host suspend)
-//! raw readings have been observed to regress on some platforms; the
-//! timer absorbs any backwards step by clamping to the largest reading
-//! seen so far, so deltas are never negative. [`monotonic_ns`] exposes
-//! the process-wide clamped clock — the timestamp source for the
-//! `vbatch-trace` event rings.
+//! The harness reads time through [`monotonic_ns`], the process-wide
+//! monotonic-clamped clock that `vbatch-trace` owns (it timestamps the
+//! event rings); this module re-exports it together with [`MonoTimer`]
+//! and [`RawClock`], so callers keep one import path for wall time.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+pub use vbatch_trace::clock::{monotonic_ns, MonoTimer, RawClock, StdClock};
 
 /// Minimum measured window per benchmark; short enough for CI, long
 /// enough to dominate timer noise on the block sizes we test.
@@ -24,72 +19,6 @@ const WINDOW: Duration = Duration::from_millis(200);
 
 /// Hard cap on iterations so trivially cheap closures still terminate.
 const MAX_ITERS: u64 = 1 << 22;
-
-/// A raw nanosecond clock. The production implementation reads
-/// `Instant`; tests inject fake clocks that step backwards to exercise
-/// the clamping in [`MonoTimer`].
-pub trait RawClock {
-    /// Current reading in nanoseconds since an arbitrary fixed origin.
-    fn raw_ns(&self) -> u64;
-}
-
-/// The production clock: nanoseconds since the first reading in this
-/// process (a lazily pinned `Instant` epoch).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StdClock;
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-impl RawClock for StdClock {
-    fn raw_ns(&self) -> u64 {
-        epoch().elapsed().as_nanos() as u64
-    }
-}
-
-/// A monotonic-clamped view over a [`RawClock`]: every reading is at
-/// least as large as every earlier reading, even if the raw clock steps
-/// backwards. Thread-safe; the clamp is a single relaxed `fetch_max`.
-#[derive(Debug, Default)]
-pub struct MonoTimer<C: RawClock> {
-    clock: C,
-    last: AtomicU64,
-}
-
-impl<C: RawClock> MonoTimer<C> {
-    /// Wrap `clock` with a fresh high-water mark.
-    pub const fn new(clock: C) -> Self {
-        MonoTimer {
-            clock,
-            last: AtomicU64::new(0),
-        }
-    }
-
-    /// Clamped current reading in nanoseconds: `max` of the raw clock
-    /// and every reading previously returned by this timer.
-    pub fn now_ns(&self) -> u64 {
-        let raw = self.clock.raw_ns();
-        let prev = self.last.fetch_max(raw, Ordering::Relaxed);
-        raw.max(prev)
-    }
-
-    /// Nanoseconds elapsed since an earlier [`Self::now_ns`] reading;
-    /// saturates at zero, never wraps.
-    pub fn elapsed_ns(&self, since_ns: u64) -> u64 {
-        self.now_ns().saturating_sub(since_ns)
-    }
-}
-
-static GLOBAL_TIMER: MonoTimer<StdClock> = MonoTimer::new(StdClock);
-
-/// Process-wide monotonic timestamp in nanoseconds (clamped against
-/// backwards clock steps). Allocation-free and lock-free: one `Instant`
-/// read plus one relaxed `fetch_max`.
-pub fn monotonic_ns() -> u64 {
-    GLOBAL_TIMER.now_ns()
-}
 
 /// Time `f`, printing `label` and ns/iter.
 pub fn bench<R>(label: &str, mut f: impl FnMut() -> R) {
@@ -100,7 +29,7 @@ pub fn bench<R>(label: &str, mut f: impl FnMut() -> R) {
         for _ in 0..iters {
             black_box(f());
         }
-        let elapsed = Duration::from_nanos(GLOBAL_TIMER.elapsed_ns(start));
+        let elapsed = Duration::from_nanos(monotonic_ns().saturating_sub(start));
         if elapsed >= WINDOW || iters >= MAX_ITERS {
             let per = elapsed.as_nanos() as f64 / iters as f64;
             println!("{label:<56} {per:>14.1} ns/iter  ({iters} iters)");
@@ -113,72 +42,4 @@ pub fn bench<R>(label: &str, mut f: impl FnMut() -> R) {
 /// Print a section header separating benchmark groups.
 pub fn group(name: &str) {
     println!("\n== {name} ==");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Mutex;
-
-    /// A scripted clock that replays a fixed sequence of raw readings,
-    /// including backwards steps.
-    struct FakeClock {
-        readings: Mutex<std::vec::IntoIter<u64>>,
-    }
-
-    impl FakeClock {
-        fn new(readings: Vec<u64>) -> Self {
-            FakeClock {
-                readings: Mutex::new(readings.into_iter()),
-            }
-        }
-    }
-
-    impl RawClock for FakeClock {
-        fn raw_ns(&self) -> u64 {
-            self.readings
-                .lock()
-                .unwrap()
-                .next()
-                .expect("fake clock exhausted")
-        }
-    }
-
-    #[test]
-    fn mono_timer_clamps_backwards_steps() {
-        // raw clock jumps back twice (1000 -> 400, 1500 -> 200)
-        let timer = MonoTimer::new(FakeClock::new(vec![100, 1000, 400, 1200, 1500, 200, 1600]));
-        let mut prev = 0u64;
-        let mut got = Vec::new();
-        for _ in 0..7 {
-            let t = timer.now_ns();
-            assert!(t >= prev, "timer regressed: {t} < {prev}");
-            prev = t;
-            got.push(t);
-        }
-        // backwards raw readings are clamped to the running maximum
-        assert_eq!(got, [100, 1000, 1000, 1200, 1500, 1500, 1600]);
-    }
-
-    #[test]
-    fn mono_timer_elapsed_saturates() {
-        // a start reading taken just before a backwards step must yield
-        // a zero delta, not a wrapped huge one
-        let timer = MonoTimer::new(FakeClock::new(vec![1000, 300, 500]));
-        let start = timer.now_ns();
-        assert_eq!(timer.elapsed_ns(start), 0);
-        // and elapsed against a stale larger stamp also saturates
-        assert_eq!(timer.elapsed_ns(u64::MAX), 0);
-    }
-
-    #[test]
-    fn global_monotonic_ns_advances() {
-        let a = monotonic_ns();
-        let mut b = monotonic_ns();
-        for _ in 0..1000 {
-            b = monotonic_ns();
-            assert!(b >= a);
-        }
-        assert!(b >= a);
-    }
 }

@@ -2,12 +2,15 @@
 //!
 //! The runtime substrate every other crate in the workspace builds on,
 //! written against `std` only so the whole system builds in hermetic
-//! (network-less) environments:
+//! (network-less) environments. Its one workspace dependency is
+//! `vbatch-trace`, which owns the monotonic clock and the per-thread
+//! event rings the pool workers reserve at spawn.
 //!
-//! * [`par`] — data-parallel iteration over owned collections and
-//!   mutable slices with scoped threads (the CPU analogue of launching
-//!   one warp per block), exposed through a small rayon-style
-//!   [`par::prelude`];
+//! * [`par`] — one process-wide persistent worker pool (the CPU
+//!   analogue of launching one warp per block): [`par::for_each_index`]
+//!   spreads an index range over parked workers plus the caller without
+//!   spawning or allocating, and a small rayon-style [`par::prelude`]
+//!   maps owned collections and mutable slices on top of it;
 //! * [`rng`] — a deterministic splitmix64 PRNG with a `rand`-style
 //!   `gen_range` surface, used by the problem generators, IDR's shadow
 //!   space and the test harnesses;

@@ -10,9 +10,16 @@
 //!   allocations — i.e. everything a solve allocates is per-solve
 //!   setup/teardown (`SolveResult`, final true-residual check), never
 //!   per-iteration.
+//!
+//! Windows read the allocator's *scoped* count: allocations on the
+//! measuring thread plus those on the `vbatch-rt` pool workers, where
+//! `CpuRayon` runs its units. The harness's own threads (spawning and
+//! reporting other tests) stay out of it. Pool workers are shared, so
+//! every test also holds [`serial`] for its whole body: no other test
+//! can run pool work inside a window, under any harness thread count.
 
-use std::sync::Arc;
-use vbatch_exec::{Backend, CpuSequential, CpuSimd};
+use std::sync::{Arc, Mutex, MutexGuard};
+use vbatch_exec::{Backend, CpuRayon, CpuSequential, CpuSimd};
 use vbatch_precond::{BjMethod, BlockIlu0, PrecondOptions, Preconditioner};
 use vbatch_rt::CountingAlloc;
 use vbatch_solver::{IdrBjSolver, IdrSolver, SolveParams, StopReason};
@@ -30,8 +37,16 @@ fn simd_backend() -> Arc<dyn Backend<f64>> {
     Arc::new(CpuSimd)
 }
 
+/// Held for the whole body of every test: one measurement at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // a failed test poisons the lock; the next test's window is still clean
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn warm_prepared_apply_allocates_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
@@ -46,12 +61,54 @@ fn warm_prepared_apply_allocates_nothing() {
     m.apply_inplace(&mut v);
     let after = ALLOC.snapshot();
     assert_eq!(
-        after.allocs_since(&before),
+        after.scoped_allocs_since(&before),
         0,
         "warm prepared apply must not allocate ({} bytes leaked in)",
-        after.bytes_since(&before)
+        after.scoped_bytes_since(&before)
     );
     assert!(v.iter().all(|x| x.is_finite()));
+}
+
+/// The same guarantee on the worker pool: a warm `CpuRayon` apply
+/// hands its units to persistent, already-parked workers through a job
+/// on the caller's stack, so neither the dispatch nor the workers touch
+/// the heap. Measured for both layouts, each with several apply units
+/// so the pool really runs.
+#[test]
+fn warm_parallel_prepared_apply_allocates_nothing() {
+    let _serial = serial();
+    let a = laplace_2d::<f64>(16, 16);
+    let n = a.nrows();
+    let part = BlockPartition::uniform(n, 8);
+    for layout in [
+        vbatch_core::BatchLayout::Blocked,
+        vbatch_core::BatchLayout::interleaved(),
+    ] {
+        let m = vbatch_precond::BlockJacobi::setup_opts(
+            &a,
+            &part,
+            Arc::new(CpuRayon),
+            PrecondOptions::default()
+                .with_method(BjMethod::SmallLu)
+                .with_layout(layout),
+        )
+        .unwrap();
+        let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        m.apply_inplace(&mut v); // warm-up
+        let before = ALLOC.snapshot();
+        for _ in 0..8 {
+            m.apply_inplace(&mut v);
+        }
+        let after = ALLOC.snapshot();
+        assert_eq!(
+            after.scoped_allocs_since(&before),
+            0,
+            "warm {} cpu-rayon apply must not allocate ({} bytes leaked in)",
+            layout.label(),
+            after.scoped_bytes_since(&before)
+        );
+        assert!(v.iter().all(|x| x.is_finite()));
+    }
 }
 
 /// The steady-state guarantee must hold **with tracing active**: trace
@@ -62,6 +119,7 @@ fn warm_prepared_apply_allocates_nothing() {
 /// zero-alloc check plus the guarantee that the event counter stays 0.
 #[test]
 fn warm_apply_with_tracing_enabled_allocates_nothing() {
+    let _serial = serial();
     vbatch_trace::set_enabled(true);
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
@@ -78,10 +136,10 @@ fn warm_apply_with_tracing_enabled_allocates_nothing() {
     let after = ALLOC.snapshot();
     let ev1 = vbatch_trace::thread_events_written();
     assert_eq!(
-        after.allocs_since(&before),
+        after.scoped_allocs_since(&before),
         0,
         "warm traced apply must not allocate ({} bytes leaked in)",
-        after.bytes_since(&before)
+        after.scoped_bytes_since(&before)
     );
     if vbatch_trace::enabled() {
         assert!(
@@ -101,6 +159,7 @@ fn warm_apply_with_tracing_enabled_allocates_nothing() {
 /// whole three-stage apply touches the heap zero times.
 #[test]
 fn warm_bilu_apply_allocates_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
@@ -118,10 +177,10 @@ fn warm_bilu_apply_allocates_nothing() {
     m.apply_inplace(&mut v);
     let after = ALLOC.snapshot();
     assert_eq!(
-        after.allocs_since(&before),
+        after.scoped_allocs_since(&before),
         0,
         "warm block-ILU(0) apply must not allocate ({} bytes leaked in)",
-        after.bytes_since(&before)
+        after.scoped_bytes_since(&before)
     );
     assert!(v.iter().all(|x| x.is_finite()));
 }
@@ -131,6 +190,7 @@ fn warm_bilu_apply_allocates_nothing() {
 /// additional allocations, exactly as for block-Jacobi.
 #[test]
 fn warm_bilu_idr_iterations_allocate_nothing() {
+    let _serial = serial();
     // 48x48 grid: block-ILU(0) needs ~25 IDR(4) iterations here, so
     // both capped runs below stop on MaxIterations
     let a = laplace_2d::<f64>(48, 48);
@@ -150,7 +210,7 @@ fn warm_bilu_idr_iterations_allocate_nothing() {
 
     let s0 = ALLOC.snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.snapshot().scoped_allocs_since(&s0);
 
     let mut handle_long =
         IdrSolver::<f64, BlockIlu0<f64>>::setup_opts(&a, 4, &part, backend(), opts, &long).unwrap();
@@ -159,7 +219,7 @@ fn warm_bilu_idr_iterations_allocate_nothing() {
 
     let s1 = ALLOC.snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.snapshot().scoped_allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(
@@ -179,6 +239,7 @@ fn warm_bilu_idr_iterations_allocate_nothing() {
 /// delegate.
 #[test]
 fn warm_simd_prepared_apply_allocates_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
@@ -196,10 +257,10 @@ fn warm_simd_prepared_apply_allocates_nothing() {
     m.apply_inplace(&mut v);
     let after = ALLOC.snapshot();
     assert_eq!(
-        after.allocs_since(&before),
+        after.scoped_allocs_since(&before),
         0,
         "warm cpu-simd prepared apply must not allocate ({} bytes leaked in)",
-        after.bytes_since(&before)
+        after.scoped_bytes_since(&before)
     );
     assert!(v.iter().all(|x| x.is_finite()));
 }
@@ -208,6 +269,7 @@ fn warm_simd_prepared_apply_allocates_nothing() {
 /// the SIMD diagonal solve, zero heap traffic once warm.
 #[test]
 fn warm_simd_bilu_apply_allocates_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
     let part = BlockPartition::uniform(n, 8);
@@ -225,10 +287,10 @@ fn warm_simd_bilu_apply_allocates_nothing() {
     m.apply_inplace(&mut v);
     let after = ALLOC.snapshot();
     assert_eq!(
-        after.allocs_since(&before),
+        after.scoped_allocs_since(&before),
         0,
         "warm cpu-simd block-ILU(0) apply must not allocate ({} bytes leaked in)",
-        after.bytes_since(&before)
+        after.scoped_bytes_since(&before)
     );
     assert!(v.iter().all(|x| x.is_finite()));
 }
@@ -238,6 +300,7 @@ fn warm_simd_bilu_apply_allocates_nothing() {
 /// allocations, so the per-iteration SIMD apply path is heap-free.
 #[test]
 fn warm_simd_idr_iterations_allocate_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(20, 20);
     let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
@@ -253,7 +316,7 @@ fn warm_simd_idr_iterations_allocate_nothing() {
 
     let s0 = ALLOC.snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.snapshot().scoped_allocs_since(&s0);
 
     let mut handle_long =
         IdrBjSolver::setup(&a, 4, &part, BjMethod::SmallLu, simd_backend(), &long).unwrap();
@@ -262,7 +325,7 @@ fn warm_simd_idr_iterations_allocate_nothing() {
 
     let s1 = ALLOC.snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.snapshot().scoped_allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(
@@ -282,6 +345,7 @@ fn warm_simd_idr_iterations_allocate_nothing() {
 /// lowered interleaved path, not just blocked factors.
 #[test]
 fn warm_mixed_precision_apply_allocates_nothing() {
+    let _serial = serial();
     use vbatch_exec::PrecisionPolicy;
     let a = laplace_2d::<f64>(16, 16);
     let n = a.nrows();
@@ -308,12 +372,12 @@ fn warm_mixed_precision_apply_allocates_nothing() {
             m.apply_inplace(&mut v);
             let after = ALLOC.snapshot();
             assert_eq!(
-                after.allocs_since(&before),
+                after.scoped_allocs_since(&before),
                 0,
                 "warm {}/{} apply must not allocate ({} bytes leaked in)",
                 layout.label(),
                 policy.label(),
-                after.bytes_since(&before)
+                after.scoped_bytes_since(&before)
             );
             assert!(v.iter().all(|x| x.is_finite()));
         }
@@ -325,6 +389,7 @@ fn warm_mixed_precision_apply_allocates_nothing() {
 /// factors cost zero additional allocations.
 #[test]
 fn warm_mixed_idr_iterations_allocate_nothing() {
+    let _serial = serial();
     use vbatch_exec::PrecisionPolicy;
     let a = laplace_2d::<f64>(20, 20);
     let n = a.nrows();
@@ -351,7 +416,7 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
 
     let s0 = ALLOC.snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.snapshot().scoped_allocs_since(&s0);
 
     let mut handle_long = IdrSolver::<f64, vbatch_precond::BlockJacobi<f64>>::setup_opts(
         &a,
@@ -367,7 +432,7 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
 
     let s1 = ALLOC.snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.snapshot().scoped_allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(
@@ -385,6 +450,7 @@ fn warm_mixed_idr_iterations_allocate_nothing() {
 /// times (the interface workspace is sized at setup).
 #[test]
 fn warm_spike_apply_allocates_nothing() {
+    let _serial = serial();
     use vbatch_sparse::{CooMatrix, SpikePartition};
     let n = 96;
     let mut coo = CooMatrix::new(n, n);
@@ -402,10 +468,10 @@ fn warm_spike_apply_allocates_nothing() {
     m.apply_inplace(&mut v);
     let after = ALLOC.snapshot();
     assert_eq!(
-        after.allocs_since(&before),
+        after.scoped_allocs_since(&before),
         0,
         "warm SPIKE apply must not allocate ({} bytes leaked in)",
-        after.bytes_since(&before)
+        after.scoped_bytes_since(&before)
     );
     assert!(v.iter().all(|x| x.is_finite()));
 }
@@ -414,6 +480,7 @@ fn warm_spike_apply_allocates_nothing() {
 /// pre-sized rings without heap traffic, exactly like block-Jacobi.
 #[test]
 fn warm_spike_apply_with_tracing_enabled_allocates_nothing() {
+    let _serial = serial();
     use vbatch_sparse::{CooMatrix, SpikePartition};
     vbatch_trace::set_enabled(true);
     let n = 96;
@@ -432,16 +499,17 @@ fn warm_spike_apply_with_tracing_enabled_allocates_nothing() {
     m.apply_inplace(&mut v);
     let after = ALLOC.snapshot();
     assert_eq!(
-        after.allocs_since(&before),
+        after.scoped_allocs_since(&before),
         0,
         "warm traced SPIKE apply must not allocate ({} bytes leaked in)",
-        after.bytes_since(&before)
+        after.scoped_bytes_since(&before)
     );
     assert!(v.iter().all(|x| x.is_finite()));
 }
 
 #[test]
 fn warm_idr_iterations_allocate_nothing() {
+    let _serial = serial();
     let a = laplace_2d::<f64>(20, 20);
     let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
@@ -461,7 +529,7 @@ fn warm_idr_iterations_allocate_nothing() {
 
     let s0 = ALLOC.snapshot();
     let r_short = handle.solve(&a, &b);
-    let allocs_short = ALLOC.snapshot().allocs_since(&s0);
+    let allocs_short = ALLOC.snapshot().scoped_allocs_since(&s0);
 
     let mut handle_long =
         IdrBjSolver::setup(&a, 4, &part, BjMethod::SmallLu, backend(), &long).unwrap();
@@ -470,7 +538,7 @@ fn warm_idr_iterations_allocate_nothing() {
 
     let s1 = ALLOC.snapshot();
     let r_long = handle_long.solve(&a, &b);
-    let allocs_long = ALLOC.snapshot().allocs_since(&s1);
+    let allocs_long = ALLOC.snapshot().scoped_allocs_since(&s1);
 
     assert!(r_long.iterations > r_short.iterations + 10);
     assert_eq!(

@@ -57,7 +57,7 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Site name (the literal passed to `span!`/`counter!`).
     pub name: &'static str,
-    /// Monotonic timestamp, nanoseconds ([`vbatch_rt::bench::monotonic_ns`]).
+    /// Monotonic timestamp, nanoseconds ([`crate::clock::monotonic_ns`]).
     pub t_ns: u64,
     /// Span payload or counter increment.
     pub payload: u64,

@@ -8,7 +8,7 @@
 //!
 //! * **event rings** — per-thread fixed-capacity ring buffers of span
 //!   begin/end and counter events, timestamped by the monotonic-clamped
-//!   clock in [`vbatch_rt::bench::monotonic_ns`]. Recording is a few
+//!   clock in [`clock::monotonic_ns`]. Recording is a few
 //!   relaxed atomic stores plus an index bump; rings are pre-sized at
 //!   setup time ([`reserve_thread_ring`]) so the steady state never
 //!   allocates;
@@ -46,6 +46,7 @@
 //! println!("{snap}");
 //! ```
 
+pub mod clock;
 pub mod export;
 
 #[cfg(feature = "trace")]
@@ -53,7 +54,7 @@ mod on;
 #[cfg(feature = "trace")]
 pub use on::{
     dropped, enabled, gauge_max, labeled_add, record_duration, reserve_thread_ring, reset,
-    set_enabled, snapshot, thread_events_written, Site, SpanGuard, DEFAULT_RING_EVENTS,
+    ring_count, set_enabled, snapshot, thread_events_written, Site, SpanGuard, DEFAULT_RING_EVENTS,
     MAX_LABELED, MAX_RINGS, MAX_SITES,
 };
 
@@ -62,7 +63,7 @@ mod off;
 #[cfg(not(feature = "trace"))]
 pub use off::{
     dropped, enabled, gauge_max, labeled_add, record_duration, reserve_thread_ring, reset,
-    set_enabled, snapshot, thread_events_written, Site, SpanGuard,
+    ring_count, set_enabled, snapshot, thread_events_written, Site, SpanGuard,
 };
 
 pub use export::{

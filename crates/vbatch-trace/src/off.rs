@@ -74,6 +74,12 @@ pub fn dropped() -> u64 {
     0
 }
 
+/// Always zero.
+#[inline(always)]
+pub fn ring_count() -> usize {
+    0
+}
+
 /// Always empty.
 #[inline(always)]
 pub fn snapshot() -> TraceSnapshot {

@@ -6,7 +6,7 @@
 //! * one relaxed load of the enabled flag,
 //! * one relaxed load of the interned site id (slow-path interning runs
 //!   once per site, into fixed static tables — no allocation),
-//! * one [`vbatch_rt::bench::monotonic_ns`] read,
+//! * one [`monotonic_ns`] read,
 //! * three relaxed atomic stores into the thread's ring plus a relaxed
 //!   index bump,
 //! * and, on span close, three relaxed `fetch_add`s into the fixed
@@ -24,6 +24,7 @@
 //! after the measured region, where this does not occur).
 #![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 
+use crate::clock::monotonic_ns;
 use crate::export::{
     CounterSample, EventKind, HistogramSample, LabeledSample, TraceEvent, TraceSnapshot,
     HIST_BUCKETS,
@@ -31,7 +32,6 @@ use crate::export::{
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use vbatch_rt::bench::monotonic_ns;
 
 /// Maximum distinct `span!`/`counter!` sites; the last slot absorbs any
 /// overflow so the fast path never branches on capacity.
@@ -395,6 +395,11 @@ pub fn thread_events_written() -> u64 {
 /// Events dropped process-wide (ring budget exhausted).
 pub fn dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
+}
+
+/// Event rings created so far, process-wide (at most [`MAX_RINGS`]).
+pub fn ring_count() -> usize {
+    RING_COUNT.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------
